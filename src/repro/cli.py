@@ -36,10 +36,10 @@ Commands
     ``tests/fuzz_corpus/``.
 ``serve``
     The continuous-profiling daemon: poll a spool directory for
-    submitted jobs, run them over a worker pool with per-job timeouts
-    and retries, persist every profile into the store, heartbeat to
+    submitted jobs, run them one at a time with bounded retries,
+    persist every profile into the store, heartbeat to
     ``<spool>/status.jsonl``.  ``--drain`` processes the backlog and
-    exits (the CI mode).
+    exits (the CI mode).  Unsupervised: job timeouts are not enforced.
 ``fleet``
     The sharded serving tier: N shard daemons (each its own spool +
     store) behind one asyncio HTTP front door, with the fleet-wide
@@ -413,8 +413,7 @@ DEFAULT_FLEET_ROOT = ".djxserve/fleet"
 def cmd_serve(args) -> int:
     from repro.serve import ProfilingService
 
-    service = ProfilingService(args.spool, args.store, jobs=args.jobs,
-                               job_timeout=args.timeout)
+    service = ProfilingService(args.spool, args.store)
     with service:
         if args.drain:
             done = service.drain()
@@ -472,7 +471,6 @@ def _fleet_worker(args, policy) -> int:
     with FleetIndex(router.index_path) as index:
         service = ProfilingService(
             router.spool_dir(args.shard), router.store_path(args.shard),
-            jobs=args.jobs, job_timeout=args.timeout,
             fleet_index=index, shard_id=args.shard,
             queue_policy=policy, retention=args.retention)
         with service:
@@ -546,8 +544,7 @@ def _fleet_supervisor(args) -> int:
 
     supervisor = FleetSupervisor(
         args.root, shards=args.shards, host=args.host, port=args.port,
-        jobs=args.jobs, poll=args.poll, job_timeout=args.timeout,
-        retention=args.retention,
+        poll=args.poll, retention=args.retention,
         tenant_pending=args.tenant_pending,
         tenant_inflight=args.tenant_inflight,
         queue_depth=args.queue_depth,
@@ -581,8 +578,7 @@ def _fleet_in_process(args, policy) -> int:
     from repro.serve import Fleet, HttpFrontDoor
 
     async def _run() -> int:
-        fleet = Fleet(args.root, shards=args.shards, jobs=args.jobs,
-                      job_timeout=args.timeout, queue_policy=policy,
+        fleet = Fleet(args.root, shards=args.shards, queue_policy=policy,
                       retention=args.retention)
         door = HttpFrontDoor(fleet, host=args.host, port=args.port)
         stop = asyncio.Event()
@@ -952,19 +948,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_serve = sub.add_parser(
-        "serve", help="run the continuous-profiling daemon")
+        "serve", help="run the continuous-profiling daemon (serial and "
+                      "unsupervised; fleet --processes enforces timeouts)")
     p_serve.add_argument("--spool", default=DEFAULT_SPOOL,
                          help=f"spool directory (default {DEFAULT_SPOOL})")
     p_serve.add_argument("--store", default=DEFAULT_STORE,
                          help=f"profile store (default {DEFAULT_STORE})")
-    p_serve.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: CPU count)")
     p_serve.add_argument("--poll", type=float, default=1.0,
                          help="seconds between idle spool polls "
                               "(default 1.0)")
-    p_serve.add_argument("--timeout", type=float, default=300.0,
-                         help="per-job attempt timeout in seconds "
-                              "(default 300)")
     p_serve.add_argument("--max-polls", type=int, default=None,
                          help="stop after this many polls (default: "
                               "run until signalled)")
@@ -990,14 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--port", type=int, default=8750,
                          help="front-door port (default 8750; 0 picks "
                               "an ephemeral port)")
-    p_fleet.add_argument("--jobs", type=int, default=1,
-                         help="worker processes per shard (default 1)")
     p_fleet.add_argument("--poll", type=float, default=0.5,
                          help="seconds between idle spool polls per "
                               "shard, before backoff (default 0.5)")
-    p_fleet.add_argument("--timeout", type=float, default=300.0,
-                         help="per-job attempt timeout in seconds "
-                              "(default 300)")
     p_fleet.add_argument("--tenant-pending", type=int, default=32,
                          help="pending jobs one tenant may queue per "
                               "shard before 429 (default 32)")
@@ -1031,10 +1018,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "them (default 86400; <= 0 keeps "
                               "forever)")
     p_fleet.add_argument("--stale-after", type=float, default=120.0,
-                         help="supervisor kills a worker whose "
+                         help="supervisor kills an idle worker whose "
                               "heartbeat is older than this many "
-                              "seconds (default 120; --processes "
-                              "only)")
+                              "seconds; a busy one only past its job's "
+                              "timeout (default 120; --processes only)")
     p_fleet.set_defaults(fn=cmd_fleet)
 
     p_submit = sub.add_parser(
@@ -1054,7 +1041,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--seed", type=int, default=None,
                           help="machine seed (part of the store key)")
     p_submit.add_argument("--timeout", type=float, default=None,
-                          help="per-attempt timeout for this job")
+                          help="per-attempt timeout in seconds for this "
+                               "job (default 300; enforced only by a "
+                               "supervised fleet, fleet --processes)")
     p_submit.add_argument("--force", action="store_true",
                           help="re-simulate even when the store already "
                                "has this exact key")

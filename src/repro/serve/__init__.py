@@ -15,14 +15,16 @@ one-shot CLI profiler into a service:
     ``done/``/``failed/``.
 :mod:`repro.serve.workers`
     Process worker pool with per-task timeouts, bounded retries with
-    backoff, and crashed/hung-worker recycling.
+    backoff, and crashed/hung-worker recycling — used by the suite
+    runner and ``bench --jobs``, not by the daemon.
 :mod:`repro.serve.regress`
     Cross-run regression engine over :mod:`repro.core.diff`: new top-N
     objects, sample-share swings, throughput drops → machine-readable
     verdicts.
 :mod:`repro.serve.service`
-    The daemon: poll the spool (with jittered idle backoff), fan jobs
-    over the pool, persist results, heartbeat to a JSONL status file.
+    The daemon: poll the spool (with jittered idle backoff), run jobs
+    one at a time in its own process, persist results, heartbeat to a
+    JSONL status file that names each running job's deadline.
 :mod:`repro.serve.router`
     The fleet tier: stable shard placement over N shard directories,
     the fleet-wide ``(program-hash, config-hash, seed)`` dedupe index,
@@ -38,9 +40,9 @@ one-shot CLI profiler into a service:
     fleet scaling harness behind ``bench --fleet-scaling``.
 :mod:`repro.serve.supervisor`
     Multi-process fleet supervision: spawns shard workers and a
-    router-only front door as OS processes, watches heartbeats,
-    restarts crashes with backoff + a circuit breaker, drains on
-    SIGTERM.
+    router-only front door as OS processes, watches heartbeats, kills
+    a shard whose job outlives its own timeout, restarts crashes with
+    backoff + a circuit breaker, drains on SIGTERM.
 """
 
 from repro.serve.queue import (
@@ -63,7 +65,6 @@ from repro.serve.store import (
     profile_key_for,
     program_digest,
 )
-from repro.serve.workers import TaskOutcome, WorkerPool
 from repro.serve.service import ProfilingService
 from repro.serve.router import Fleet, FleetIndex, ShardRouter, shard_for
 from repro.serve.http import HttpFrontDoor
@@ -99,8 +100,6 @@ __all__ = [
     "RegressionFinding",
     "RegressionVerdict",
     "SpoolQueue",
-    "TaskOutcome",
-    "WorkerPool",
     "config_digest",
     "profile_key_for",
     "program_digest",

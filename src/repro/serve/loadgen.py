@@ -186,7 +186,7 @@ async def _drive(root: str, clients: int, shards: int,
                  duplicate_fraction: float, tenants: int,
                  period: int, poll_interval: float,
                  policy: FairnessPolicy) -> ServeLoadResult:
-    fleet = Fleet(root, shards=shards, jobs=1, queue_policy=policy)
+    fleet = Fleet(root, shards=shards, queue_policy=policy)
     door = HttpFrontDoor(fleet)
     burst_ids: List[str] = []
     burst_throttled = 0
@@ -293,7 +293,7 @@ async def _cross_shard_phase(root: str, shards: int, workload: str,
     The verdict must be a fleet-index hit served from the original
     shard's store — zero simulator work on the new home shard.
     """
-    fleet = Fleet(root, shards=shards, jobs=1)
+    fleet = Fleet(root, shards=shards)
     try:
         program_hash, origin = fleet._route_key(workload, "baseline")
     finally:
@@ -302,7 +302,7 @@ async def _cross_shard_phase(root: str, shards: int, workload: str,
     while shard_for(workload, program_hash, new_shards) == origin:
         new_shards += 1
 
-    fleet = Fleet(root, shards=new_shards, jobs=1)
+    fleet = Fleet(root, shards=new_shards)
     door = HttpFrontDoor(fleet)
     try:
         await door.start()
@@ -320,7 +320,7 @@ async def _cross_shard_phase(root: str, shards: int, workload: str,
                 break
             await asyncio.sleep(poll_interval)
         result = data["job"].get("result", {})
-        simulated = fleet.services[serving_shard].pool.stats["tasks"]
+        simulated = fleet.services[serving_shard].executed
     finally:
         await door.stop()
         fleet.close()

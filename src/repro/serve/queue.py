@@ -12,7 +12,7 @@ that moves between subdirectories of the spool as its state changes::
 Every transition is an atomic rename, so concurrent daemons can claim
 from the same spool without double-running a job, and a crashed daemon
 leaves its claims in ``running/`` where :meth:`SpoolQueue.recover`
-returns them to ``pending`` on the next startup.
+returns them to ``pending`` (or ``failed`` past ``max_attempts``).
 
 Fairness
 --------
@@ -38,10 +38,11 @@ Without a policy the queue behaves exactly as before: unlimited FIFO.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 #: Job kinds the daemon knows how to execute.
 JOB_KINDS = ("profile", "bench", "fuzz", "optimize")
@@ -100,7 +101,8 @@ class JobSpec:
     #: "redundancy") — part of the profile-store dedupe key.
     family: str = "djxperf"
     seed: Optional[int] = None
-    #: Wall-clock seconds a single attempt may take (None = unlimited).
+    #: Wall-clock seconds a single attempt may take (None =
+    #: ``repro.serve.service.DEFAULT_JOB_TIMEOUT``); finite and > 0.
     timeout: Optional[float] = None
     max_attempts: int = 3
     attempts: int = 0
@@ -117,6 +119,10 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {self.kind!r}; "
                              f"have {JOB_KINDS}")
+        if self.timeout is not None and \
+                not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number of "
+                             f"seconds > 0, got {self.timeout!r}")
 
     def to_dict(self) -> dict:
         return {"job_id": self.job_id, "kind": self.kind,
@@ -310,10 +316,14 @@ class SpoolQueue:
     def requeue(self, spec: JobSpec, reason: str = "") -> JobSpec:
         """running → pending with the attempt counted.
 
-        Returns the updated spec; call :meth:`fail` instead once
-        ``spec.attempts`` reaches ``spec.max_attempts``.
+        Returns the updated spec; :meth:`retry_or_fail` chooses
+        between this and :meth:`fail` by ``spec.max_attempts``.
         """
         spec.attempts += 1
+        return self._release(spec, reason)
+
+    def _release(self, spec: JobSpec, reason: str) -> JobSpec:
+        """running → pending with no attempt counted."""
         data = spec.to_dict()
         if reason:
             data["meta"] = {**data["meta"], "last_requeue": reason}
@@ -322,8 +332,26 @@ class SpoolQueue:
         self._remove("running", spec.job_id)
         return spec
 
-    def recover(self) -> List[JobSpec]:
+    def retry_or_fail(self, spec: JobSpec, reason: str,
+                      error: Optional[str] = None) -> bool:
+        """Count a failed attempt: requeue the job with ``reason``, or
+        fail it with ``error`` (default ``reason``) once its attempts
+        reach ``max_attempts``.  Returns True when requeued."""
+        spec.attempts += 1
+        if spec.attempts < spec.max_attempts:
+            self._release(spec, reason)
+            return True
+        self.fail(spec, error or reason)
+        return False
+
+    def recover(self, charge: Optional[Collection[str]] = None
+                ) -> List[JobSpec]:
         """Return a crashed daemon's ``running/`` claims to pending.
+
+        Only jobs in ``charge`` (None: every claim), the ones running
+        when the daemon died, have an attempt counted
+        (:meth:`retry_or_fail`), so a job that keeps killing its daemon
+        still ends failed; the rest never started.  Returns them all.
 
         Safe against live neighbours: a running file whose job already
         has a done/failed outcome is a stale leftover (the finishing
@@ -350,7 +378,16 @@ class SpoolQueue:
                 # daemon already removed (or is removing) the file.
                 self._remove("running", job_id)
                 continue
-            recovered.append(self.requeue(spec, reason="daemon-crash"))
+            if charge is None or job_id in charge:
+                self.retry_or_fail(
+                    spec, "daemon-crash",
+                    f"daemon-crash: the daemon died or was killed (e.g. "
+                    f"past the job's timeout) and restarted while running "
+                    f"this job (attempt {spec.attempts + 1} of "
+                    f"{spec.max_attempts})")
+            else:
+                self._release(spec, "daemon-crash")
+            recovered.append(spec)
         return recovered
 
     def _remove(self, state: str, job_id: str) -> None:

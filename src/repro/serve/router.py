@@ -24,7 +24,8 @@ fleet tier runs N of them side by side:
 :class:`Fleet`
     The in-process assembly: router + index + one service per shard
     (each polling its spool on its own thread), plus the merged
-    status/history/regress views the HTTP front door serves.
+    status/history/regress views the HTTP front door serves.  A thread
+    cannot be killed, so job deadlines are recorded but not enforced.
 
 Resharding is the reason the index earns its keep: growing a fleet
 from N to N+1 shards remaps most keys, so a naively-sharded fleet
@@ -35,7 +36,6 @@ new home shard finds the old shard's record and serves it from disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import sqlite3
 import threading
@@ -44,12 +44,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.queue import FairnessPolicy, JobSpec, SpoolQueue
-from repro.serve.service import STATUS_FILE, ProfilingService
+from repro.serve.service import STATUS_FILE, ProfilingService, read_heartbeat
 from repro.serve.store import (
     ProfileKey,
     ProfileRecord,
     ProfileStore,
-    config_digest,
     program_digest,
 )
 
@@ -223,8 +222,6 @@ class Fleet:
     """
 
     def __init__(self, root: str, shards: int = 2,
-                 jobs: Optional[int] = 1,
-                 job_timeout: Optional[float] = None,
                  queue_policy: Optional[FairnessPolicy] = None,
                  workers: str = "threads",
                  retention: Optional[float] = None) -> None:
@@ -238,7 +235,6 @@ class Fleet:
             self.services: List[ProfilingService] = [
                 ProfilingService(self.router.spool_dir(shard),
                                  self.router.store_path(shard),
-                                 jobs=jobs, job_timeout=job_timeout,
                                  fleet_index=self.index, shard_id=shard,
                                  queue_policy=queue_policy,
                                  retention=retention)
@@ -424,26 +420,6 @@ class Fleet:
         merged.sort(key=lambda r: (r["created_at"], r["id"]), reverse=True)
         return merged[:limit]
 
-    def _shard_heartbeat(self, shard: int) -> Optional[dict]:
-        """The last heartbeat line a shard's daemon process wrote."""
-        path = os.path.join(self.router.spool_dir(shard), STATUS_FILE)
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                fh.seek(max(0, fh.tell() - 8192))
-                tail = fh.read().decode("utf-8", "replace").splitlines()
-        except OSError:
-            return None
-        for line in reversed(tail):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                return json.loads(line)
-            except json.JSONDecodeError:
-                continue
-        return None
-
     def stats(self) -> dict:
         """Fleet-wide health: per-shard queues, dedupe counters, stores.
 
@@ -469,7 +445,8 @@ class Fleet:
                              "misses": service.warm_misses},
                 }
             else:
-                beat = self._shard_heartbeat(shard) or {}
+                beat = read_heartbeat(os.path.join(
+                    self.router.spool_dir(shard), STATUS_FILE)) or {}
                 fleet_beat = beat.get("fleet") or {}
                 entry = {
                     "shard": shard,
@@ -500,14 +477,3 @@ class Fleet:
                        "indexed": self.index.count()},
             "warm": {"hits": warm_hits, "misses": warm_misses},
         }
-
-    def dedupe_key_for(self, workload: str, variant: str,
-                       period: int, threshold: int,
-                       seed: Optional[int]) -> Tuple[str, str, str]:
-        """(program_hash, config_hash, seed-text) a submission dedupes on."""
-        from repro.core.profiler import DjxConfig
-
-        program_hash, _shard = self._route_key(workload, variant)
-        config_hash = config_digest(DjxConfig(sample_period=period,
-                                              size_threshold=threshold))
-        return program_hash, config_hash, _seed_text(seed)

@@ -1,11 +1,16 @@
 """The continuous-profiling daemon.
 
-One service instance owns a spool queue, a worker pool, and a profile
-store.  Each poll it claims every pending job, serves exact-key repeats
-straight from the store (no re-simulation), fans the rest over the
-worker pool, persists the resulting profiles, and appends a heartbeat
-line to ``<spool>/status.jsonl`` so an operator (or the CI smoke job)
-can watch it without attaching a debugger.
+One service instance owns a spool queue and a profile store.  Each poll
+it claims every pending job, serves exact-key repeats straight from the
+store (no re-simulation), runs the rest one at a time in its own
+process, persists the resulting profiles, and appends a heartbeat line
+to ``<spool>/status.jsonl`` so an operator (or the CI smoke job) can
+watch it without attaching a debugger.
+
+Before each job the heartbeat names the job and its ``deadline``
+(start + ``JobSpec.timeout``).  Only the multi-process fleet's
+supervisor enforces it, by killing the shard; standalone and on fleet
+threads there is no process to kill, so the deadline is informational.
 
 Job outcomes are written back into the spool (``done/``/``failed/``),
 so ``submit`` callers can poll for their job id.  Failed jobs are
@@ -19,20 +24,43 @@ import os
 import random
 import signal
 import time
+import traceback
 from typing import Dict, List, Optional
 
 from repro.core.analyzer import AnalysisResult
 from repro.core.profiler import DjxConfig
 from repro.serve.queue import FairnessPolicy, JobSpec, SpoolQueue
 from repro.serve.store import ProfileKey, ProfileStore, profile_key_for
-from repro.serve.workers import WorkerPool
 
 #: Heartbeat file name inside the spool directory.
 STATUS_FILE = "status.jsonl"
 
+#: Seconds one attempt of a job may run when its spec sets no timeout.
+DEFAULT_JOB_TIMEOUT = 300.0
+
+
+def read_heartbeat(path: str) -> Optional[dict]:
+    """The last complete JSON line of a heartbeat file (tail only), or
+    None; a torn final line (a write in progress) is skipped."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(0, os.SEEK_END)
+            fh.seek(max(0, fh.tell() - 8192))
+            tail = fh.read().decode("utf-8", "replace").splitlines()
+    except OSError:
+        return None
+    for line in reversed(tail):
+        try:
+            beat = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(beat, dict):
+            return beat
+    return None
+
 
 # ----------------------------------------------------------------------
-# Job execution (runs inside worker processes — must stay picklable)
+# Job execution
 # ----------------------------------------------------------------------
 def _job_config(spec: JobSpec) -> DjxConfig:
     return DjxConfig(sample_period=spec.period,
@@ -40,7 +68,7 @@ def _job_config(spec: JobSpec) -> DjxConfig:
 
 
 def execute_job(payload: dict) -> dict:
-    """Run one job and return a JSON-able result (worker entry point)."""
+    """Run one job and return a JSON-able result."""
     spec = JobSpec.from_dict(payload)
     if spec.kind == "profile":
         return _execute_profile(spec)
@@ -130,8 +158,6 @@ class ProfilingService:
     """Poll the spool, execute jobs, persist profiles, heartbeat."""
 
     def __init__(self, spool_dir: str, store_path: str,
-                 jobs: Optional[int] = None,
-                 job_timeout: Optional[float] = None,
                  heartbeat_path: Optional[str] = None,
                  fleet_index=None, shard_id: int = 0,
                  queue_policy: Optional[FairnessPolicy] = None,
@@ -139,8 +165,6 @@ class ProfilingService:
                  heartbeat_max_bytes: int = 262144) -> None:
         self.queue = SpoolQueue(spool_dir, policy=queue_policy)
         self.store = ProfileStore(store_path)
-        self.pool = WorkerPool(execute_job, jobs=jobs, timeout=job_timeout,
-                               retries=0)
         self.heartbeat_path = heartbeat_path or os.path.join(
             spool_dir, STATUS_FILE)
         #: Fleet-wide dedupe index (:class:`repro.serve.router.FleetIndex`)
@@ -155,6 +179,8 @@ class ProfilingService:
         self.completed = 0
         self.failed = 0
         self.cached_hits = 0
+        #: Jobs handed to ``execute_job`` (store and fleet hits excluded).
+        self.executed = 0
         #: Fused-codegen warm-cache totals aggregated over executed
         #: jobs (see ``_execute_profile``'s per-job ``warm`` delta).
         self.warm_hits = 0
@@ -173,7 +199,14 @@ class ProfilingService:
         self._stopping = False
         # A crashed predecessor's running/ claims must not stay
         # stranded until an operator intervenes: reclaim at startup.
-        recovered = self.queue.recover()
+        # Only the job its last heartbeat names as "working" was
+        # executing; the rest were claimed but never started.
+        beat = read_heartbeat(self.heartbeat_path) or {}
+        running = beat.get("job_id") if beat.get("state") == "working" \
+            else None
+        recovered = self.queue.recover(charge=[running] if running else [])
+        self.failed += sum(s.job_id == running and
+                           s.attempts >= s.max_attempts for s in recovered)
         if recovered:
             self._heartbeat("recovered",
                             extra={"recovered": len(recovered)})
@@ -181,7 +214,6 @@ class ProfilingService:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        self.pool.shutdown()
         self.store.close()
         for remote in self._remote_stores.values():
             remote.close()
@@ -219,7 +251,7 @@ class ProfilingService:
         try:
             key = self._profile_key(spec)
         except (KeyError, ValueError) as exc:
-            # Unknown workload/variant: fall through to the worker,
+            # Unknown workload/variant: fall through to execute_job,
             # which fails the job with the same message.
             spec.meta["key_error"] = str(exc)
             return None
@@ -269,7 +301,7 @@ class ProfilingService:
         return store
 
     def _persist(self, spec: JobSpec, result: dict) -> dict:
-        """Store a worker result; returns the (augmented) job result."""
+        """Store an execution result; returns the (augmented) job result."""
         if result.get("kind") == "profile":
             analysis = AnalysisResult.from_dict(result["analysis"])
             key = self._profile_key(spec)
@@ -305,14 +337,9 @@ class ProfilingService:
                     "verdict": verdict}
         return result
 
-    def run_once(self, max_jobs: Optional[int] = None) -> List[dict]:
+    def run_once(self) -> List[dict]:
         """One poll: claim, execute, persist.  Returns job summaries."""
-        claimed: List[JobSpec] = []
-        while max_jobs is None or len(claimed) < max_jobs:
-            spec = self.queue.claim()
-            if spec is None:
-                break
-            claimed.append(spec)
+        claimed: List[JobSpec] = list(iter(self.queue.claim, None))
         if not claimed:
             return []
 
@@ -328,31 +355,32 @@ class ProfilingService:
             else:
                 to_run.append(spec)
 
-        if to_run:
-            self._heartbeat("working", extra={"in_flight": len(to_run)})
-            outcomes = self.pool.map([spec.to_dict() for spec in to_run])
-            for spec, outcome in zip(to_run, outcomes):
-                if outcome.ok:
-                    stored = self._persist(spec, outcome.value)
-                    self.queue.complete(spec, stored)
-                    self.completed += 1
-                    summaries.append({"job_id": spec.job_id, "ok": True,
-                                      **stored})
-                else:
-                    spec.attempts = max(spec.attempts, outcome.attempts)
-                    if spec.attempts < spec.max_attempts:
-                        self.queue.requeue(spec, reason=outcome.error or "")
-                        summaries.append({"job_id": spec.job_id,
-                                          "ok": False, "requeued": True,
-                                          "error": outcome.error})
-                    else:
-                        self.queue.fail(spec, outcome.error or "failed")
-                        self.failed += 1
-                        summaries.append({"job_id": spec.job_id,
-                                          "ok": False, "requeued": False,
-                                          "error": outcome.error})
+        summaries.extend(self._run_job(spec) for spec in to_run)
         self._heartbeat("idle")
         return summaries
+
+    def _run_job(self, spec: JobSpec) -> dict:
+        """Execute one claimed job, persist or requeue/fail it."""
+        timeout = spec.timeout or DEFAULT_JOB_TIMEOUT  # validated > 0
+        now = time.time()  # one clock read for both ts and deadline
+        self._heartbeat("working", extra={"ts": now, "job_id": spec.job_id,
+                                          "deadline": now + timeout})
+        self.executed += 1
+        try:
+            result = execute_job(spec.to_dict())
+        except Exception as exc:  # noqa: BLE001 — one job, one outcome
+            traceback.print_exc()
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            stored = self._persist(spec, result)
+            self.queue.complete(spec, stored)
+            self.completed += 1
+            return {"job_id": spec.job_id, "ok": True, **stored}
+        requeued = self.queue.retry_or_fail(spec, error)
+        if not requeued:
+            self.failed += 1
+        return {"job_id": spec.job_id, "ok": False, "requeued": requeued,
+                "error": error}
 
     def drain(self, max_polls: int = 100) -> int:
         """Run polls until the queue is empty; returns jobs completed."""
@@ -425,7 +453,7 @@ class ProfilingService:
             "cached_hits": self.cached_hits,
             "warm": {"hits": self.warm_hits, "misses": self.warm_misses},
             "swept": self.swept,
-            "pool": dict(self.pool.stats),
+            "executed": self.executed,
         }
         if self.fleet_index is not None:
             line["fleet"] = {"shard": self.shard_id,

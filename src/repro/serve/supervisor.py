@@ -20,10 +20,12 @@ startup ``recover()`` would steal claims owned by live workers).
 
 Supervision semantics
 ---------------------
-* **Liveness** is process exit plus heartbeat freshness: every shard
-  daemon appends a JSONL heartbeat each poll (idle polls included), so
-  a worker whose process is alive but whose heartbeat is older than
-  ``stale_after`` is treated as hung and killed.
+* **Liveness** is process exit plus the shard's last heartbeat line.
+  A ``"working"`` line names the running job's ``deadline``; past it
+  the shard is killed, and its successor's ``recover()`` counts the
+  attempt against that job alone.  Any other line is judged by age:
+  shards heartbeat every poll (idle polls included), so one older than
+  ``stale_after`` means a hung worker, which is killed.
 * **Restarts** back off exponentially (``backoff_base * 2^k`` capped
   at ``backoff_max``) and trip a circuit breaker: more than
   ``max_restarts`` restarts inside ``restart_window`` seconds parks
@@ -47,7 +49,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.serve.service import STATUS_FILE
+from repro.serve.service import STATUS_FILE, read_heartbeat
 
 #: File the front-door process writes (atomically) once bound, so the
 #: supervisor and clients learn the resolved ephemeral port.
@@ -108,8 +110,7 @@ class FleetSupervisor:
 
     def __init__(self, root: str, shards: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
-                 jobs: int = 1, poll: float = 0.5,
-                 job_timeout: Optional[float] = None,
+                 poll: float = 0.5,
                  retention: Optional[float] = None,
                  tenant_pending: Optional[int] = None,
                  tenant_inflight: Optional[int] = None,
@@ -122,9 +123,7 @@ class FleetSupervisor:
         self.shards = shards
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.poll = poll
-        self.job_timeout = job_timeout
         self.retention = retention
         self.tenant_pending = tenant_pending
         self.tenant_inflight = tenant_inflight
@@ -135,8 +134,8 @@ class FleetSupervisor:
         self.max_restarts = max_restarts
         self.restart_window = restart_window
         # Idle workers back off their heartbeat cadence up to
-        # 32 * poll; default staleness leaves generous headroom over
-        # that plus one long-running job.
+        # 32 * poll; staleness must leave headroom over that.  A
+        # running job is judged by its own deadline instead.
         self.stale_after = stale_after
         self.log_dir = os.path.join(root, "logs")
         self.children: Dict[str, ChildProcess] = {}
@@ -156,10 +155,7 @@ class FleetSupervisor:
 
     def _shard_argv(self, shard: int) -> List[str]:
         argv = self._common_argv() + [
-            "--shard", str(shard), "--jobs", str(self.jobs),
-            "--poll", str(self.poll)]
-        if self.job_timeout is not None:
-            argv += ["--timeout", str(self.job_timeout)]
+            "--shard", str(shard), "--poll", str(self.poll)]
         if self.retention is not None:
             argv += ["--retention", str(self.retention)]
         return argv
@@ -229,28 +225,27 @@ class FleetSupervisor:
         child.restart_at = now + backoff
         child.state = "backoff"
 
-    def _heartbeat_age(self, child: ChildProcess,
-                       now: float) -> Optional[float]:
-        """Seconds since the worker last heartbeat, or None unknown."""
+    def _overdue(self, child: ChildProcess,
+                 now: float) -> Optional[dict]:
+        """The kill event a live worker has earned, or None.
+
+        A line another pid wrote is a previous incarnation's: the
+        restarted worker has not heartbeat yet, so it is not judged.
+        """
         if child.heartbeat_path is None:
             return None
-        try:
-            with open(child.heartbeat_path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                fh.seek(max(0, fh.tell() - 4096))
-                tail = fh.read().decode("utf-8",
-                                        "replace").splitlines()
-        except OSError:
+        beat = read_heartbeat(child.heartbeat_path)
+        if beat is None or beat.get("pid", child.pid) != child.pid:
             return None
-        for line in reversed(tail):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                return now - float(json.loads(line)["ts"])
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
-                continue
+        if beat.get("state") == "working" and "deadline" in beat:
+            if now > float(beat["deadline"]):
+                return {"event": "timeout-killed",
+                        "job_id": beat.get("job_id"),
+                        "deadline": beat["deadline"]}
+            return None
+        age = now - float(beat["ts"])
+        if self.stale_after is not None and age > self.stale_after:
+            return {"event": "stale-killed", "age": age}
         return None
 
     def poll_once(self, now: Optional[float] = None) -> List[dict]:
@@ -258,8 +253,8 @@ class FleetSupervisor:
 
         ``now`` is injectable so tests drive backoff schedules without
         sleeping.  Spawns due restarts, schedules restarts for exited
-        children, and kills hung workers (stale heartbeat while the
-        process is alive) so the normal restart path picks them up.
+        children, and kills workers whose job is past its deadline or
+        whose heartbeat is stale, so the restart path picks them up.
         """
         now = time.time() if now is None else now
         events: List[dict] = []
@@ -288,17 +283,14 @@ class FleetSupervisor:
                                "state": child.state,
                                "restart_at": child.restart_at})
                 continue
-            if self.stale_after is not None:
-                age = self._heartbeat_age(child, now)
-                if age is not None and age > self.stale_after:
-                    child.proc.kill()
-                    child.proc.wait()
-                    self._reap(child)
-                    self._schedule_restart(child, now)
-                    events.append({"child": child.name,
-                                   "event": "stale-killed",
-                                   "age": age,
-                                   "state": child.state})
+            overdue = self._overdue(child, now)
+            if overdue is not None:
+                child.proc.kill()
+                child.proc.wait()
+                self._reap(child)
+                self._schedule_restart(child, now)
+                events.append({"child": child.name, **overdue,
+                               "state": child.state})
         return events
 
     # -- shutdown -------------------------------------------------------

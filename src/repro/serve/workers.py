@@ -19,8 +19,12 @@ pieces:
 * **graceful drain** — :meth:`WorkerPool.shutdown` finishes accepted
   work before returning (``wait=True``) or abandons it (``wait=False``).
 
-Used by the serving daemon (:mod:`repro.serve.service`) and by the
-suite runner (:func:`repro.workloads.runner.measure_suite_overheads`).
+Used by the suite runner
+(:func:`repro.workloads.runner.measure_suite_overheads`) and by
+``bench --jobs`` (:func:`repro.bench.bench_suite`).  The serving daemon
+does not use it: a shard's own OS process is the fleet's isolation
+unit, and the supervisor (:mod:`repro.serve.supervisor`) enforces each
+job's timeout by killing that process.
 """
 
 from __future__ import annotations

@@ -60,6 +60,18 @@ class TestSubmit:
             assert "no-such" in data["error"]
         drive(tmp_path, scenario)
 
+    def test_non_finite_or_negative_timeout_is_400(self, tmp_path):
+        async def scenario(fleet, door):
+            for timeout in (float("inf"), float("nan"), -1):
+                status, data, _h = await http_request(
+                    door.host, door.port, "POST", "/submit",
+                    submit_payload(timeout=timeout))
+                assert status == 400
+                assert "timeout" in data["error"]
+            assert all(s.queue.pending_count() == 0
+                       for s in fleet.services)
+        drive(tmp_path, scenario)
+
     def test_unknown_field_is_400(self, tmp_path):
         async def scenario(fleet, door):
             status, data, _h = await http_request(

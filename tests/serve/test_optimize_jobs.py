@@ -77,8 +77,8 @@ class TestExecuteAndDaemon:
         queue = SpoolQueue(spool)
         submitted = queue.submit(JobSpec(
             job_id="", kind="optimize", workload=WORKLOAD, threshold=0))
-        with ProfilingService(spool, str(tmp_path / "store.sqlite"),
-                              jobs=1) as service:
+        with ProfilingService(spool,
+                              str(tmp_path / "store.sqlite")) as service:
             assert service.drain() == 1
             outcome = service.queue.outcome(submitted.job_id)
             assert outcome["result"]["status"] == "accepted"
@@ -92,8 +92,8 @@ class TestExecuteAndDaemon:
             job_id="", kind="optimize", workload=WORKLOAD,
             family="redundancy", threshold=0,
             meta={"transform": "presize"}, max_attempts=1))
-        with ProfilingService(spool, str(tmp_path / "store.sqlite"),
-                              jobs=1) as service:
+        with ProfilingService(spool,
+                              str(tmp_path / "store.sqlite")) as service:
             service.drain()
             outcome = service.queue.outcome(submitted.job_id)
             assert "not applicable" in outcome["error"]

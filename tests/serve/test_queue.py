@@ -35,6 +35,12 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="unknown job kind"):
             JobSpec(job_id="j", kind="teleport")
 
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"),
+                                         0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            spec(timeout=timeout)
+
     def test_from_dict_ignores_unknown_keys(self):
         data = spec().to_dict()
         data["job_id"] = "j-1"
@@ -114,6 +120,58 @@ class TestRecovery:
 
     def test_recover_empty_is_noop(self, queue):
         assert queue.recover() == []
+
+    def test_recover_fails_job_out_of_attempts(self, queue):
+        """A restart that uses up ``max_attempts`` fails the job once
+        instead of requeueing it forever."""
+        submitted = queue.submit(spec(max_attempts=1))
+        queue.claim()
+        recovered = queue.recover()
+        assert [job.job_id for job in recovered] == [submitted.job_id]
+        assert recovered[0].attempts == 1
+        assert queue.counts() == {"pending": 0, "running": 0,
+                                  "done": 0, "failed": 1}
+        error = queue.outcome(submitted.job_id)["error"]
+        assert "restarted" in error and "attempt 1 of 1" in error
+        assert queue.recover() == []
+        assert queue.counts()["failed"] == 1
+        assert queue.claim() is None
+
+    def test_recover_charges_only_the_running_job(self, queue):
+        """Of two claims, only the job that was executing has its
+        attempt counted; the one queued behind it never ran."""
+        running = queue.submit(spec(max_attempts=1))
+        waiting = queue.submit(spec(max_attempts=1))
+        queue.claim()
+        queue.claim()
+        recovered = queue.recover(charge=[running.job_id])
+        assert sorted(job.job_id for job in recovered) == \
+            sorted([running.job_id, waiting.job_id])
+        assert queue.outcome(running.job_id)["attempts"] == 1
+        assert "restarted" in queue.outcome(running.job_id)["error"]
+        assert queue.outcome(waiting.job_id) is None
+        assert queue.counts() == {"pending": 1, "running": 0,
+                                  "done": 0, "failed": 1}
+        requeued = queue.claim()
+        assert requeued.job_id == waiting.job_id
+        assert requeued.attempts == 0
+
+    def test_recover_with_nothing_running_charges_nobody(self, queue):
+        queue.submit(spec(max_attempts=1))
+        queue.claim()
+        assert queue.recover(charge=[])[0].attempts == 0
+        assert queue.counts()["pending"] == 1
+
+    def test_recover_requeues_until_attempts_run_out(self, queue):
+        submitted = queue.submit(spec(max_attempts=2))
+        queue.claim()
+        assert queue.recover()[0].attempts == 1
+        assert queue.counts()["pending"] == 1
+        queue.claim()
+        assert queue.recover()[0].attempts == 2
+        assert queue.counts() == {"pending": 0, "running": 0,
+                                  "done": 0, "failed": 1}
+        assert queue.outcome(submitted.job_id)["attempts"] == 2
 
 
 class TestAtomicity:

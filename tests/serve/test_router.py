@@ -184,7 +184,7 @@ class TestFleet:
             fleet.services[new_home].drain()
             service = fleet.services[new_home]
             assert service.fleet_hits == 1
-            assert service.pool.stats["tasks"] == 0
+            assert service.executed == 0
             outcome = service.queue.outcome(repeat.job_id)
             assert outcome["result"]["fleet"] is True
             assert outcome["result"]["origin_shard"] == origin

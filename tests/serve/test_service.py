@@ -6,7 +6,12 @@ import os
 import pytest
 
 from repro.serve.queue import JobSpec, SpoolQueue
-from repro.serve.service import ProfilingService, execute_job
+from repro.serve.service import (
+    DEFAULT_JOB_TIMEOUT,
+    ProfilingService,
+    execute_job,
+    read_heartbeat,
+)
 
 WORKLOAD = "objectlayout"
 
@@ -50,7 +55,7 @@ class TestDaemon:
     def test_submit_drain_history_round_trip(self, spool, store_path):
         first = submit(spool)
         second = submit(spool, workload="montecarlo")
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             done = service.drain()
             assert done == 2
             records = service.store.history()
@@ -64,7 +69,7 @@ class TestDaemon:
 
     def test_exact_key_repeat_served_from_store(self, spool, store_path):
         submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             assert service.cached_hits == 0
             repeat = submit(spool)
@@ -77,7 +82,7 @@ class TestDaemon:
 
     def test_force_resimulates(self, spool, store_path):
         submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             submit(spool, force=True)
             service.drain()
@@ -90,14 +95,14 @@ class TestDaemon:
     def test_different_config_not_cached(self, spool, store_path):
         submit(spool, period=32)
         submit(spool, period=64)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             assert service.cached_hits == 0
             assert service.store.stats()["profiles"] == 2
 
     def test_bad_job_fails_after_max_attempts(self, spool, store_path):
         bad = submit(spool, workload="no-such-workload", max_attempts=2)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             assert service.failed == 1
             outcome = service.queue.outcome(bad.job_id)
@@ -108,7 +113,7 @@ class TestDaemon:
 
     def test_heartbeat_written(self, spool, store_path):
         submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             path = service.heartbeat_path
         assert os.path.exists(path)
@@ -120,19 +125,66 @@ class TestDaemon:
         assert lines[-1]["completed"] == 1
         assert lines[-1]["queue"]["done"] == 1
 
+    @pytest.mark.parametrize("timeout, expected",
+                             [(42.5, 42.5), (None, DEFAULT_JOB_TIMEOUT)])
+    def test_working_heartbeat_names_job_and_deadline(
+            self, spool, store_path, timeout, expected):
+        submitted = submit(spool, timeout=timeout)
+        with ProfilingService(spool, store_path) as service:
+            service.drain()
+            path = service.heartbeat_path
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh]
+        working = [line for line in lines if line["state"] == "working"]
+        assert len(working) == 1
+        assert working[0]["job_id"] == submitted.job_id
+        assert working[0]["deadline"] - working[0]["ts"] == \
+            pytest.approx(expected)
+
+    def test_failing_job_still_counts_as_executed(self, spool,
+                                                  store_path):
+        submit(spool, workload="no-such-workload", max_attempts=1)
+        with ProfilingService(spool, store_path) as service:
+            service.drain()
+            assert service.executed == 1
+            assert service.failed == 1
+        assert read_heartbeat(service.heartbeat_path)["executed"] == 1
+
     def test_recovers_crashed_daemon_claims(self, spool, store_path):
         submitted = submit(spool)
         queue = SpoolQueue(spool)
         queue.claim()  # crashed daemon took it and died
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             assert service.queue.counts()["pending"] == 1
             service.drain()
             outcome = service.queue.outcome(submitted.job_id)
             assert outcome["result"]["total_samples"] > 0
 
+    def test_recovery_charges_only_the_job_the_heartbeat_names(
+            self, spool, store_path):
+        """A daemon killed while running one job (its last heartbeat
+        is "working" for it) fails only that job at max_attempts; a
+        job it had claimed but not started still runs."""
+        running = submit(spool, max_attempts=1)
+        waiting = submit(spool, max_attempts=1, seed=5)
+        queue = SpoolQueue(spool)
+        queue.claim()
+        queue.claim()
+        with open(os.path.join(spool, "status.jsonl"), "w") as fh:
+            fh.write(json.dumps({"ts": 1.0, "state": "working",
+                                 "job_id": running.job_id,
+                                 "deadline": 2.0}) + "\n")
+        with ProfilingService(spool, store_path) as service:
+            assert service.failed == 1
+            assert service.drain() == 1
+            assert service.queue.outcome(running.job_id)["error"]
+            assert service.queue.outcome(waiting.job_id)["attempts"] == 0
+            assert service.queue.outcome(waiting.job_id)["result"][
+                "total_samples"] > 0
+
     def test_serve_forever_bounded_polls(self, spool, store_path):
         submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.serve_forever(poll_interval=0.01, max_polls=3)
             assert service.completed == 1
         lines = [json.loads(line)
@@ -142,7 +194,7 @@ class TestDaemon:
 
     def test_request_stop_drains_queue(self, spool, store_path):
         submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.request_stop()
             service.serve_forever(poll_interval=0.01)
             # Stop was requested before the loop: still drains the job.
@@ -165,7 +217,7 @@ class TestIdleBackoff:
 
         sleeps = []
         monkeypatch.setattr(service_mod.time, "sleep", sleeps.append)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.serve_forever(poll_interval=0.01, max_polls=4,
                                   jitter=0.0)
         assert sleeps == pytest.approx([0.01, 0.02, 0.04, 0.08])
@@ -177,7 +229,7 @@ class TestIdleBackoff:
         sleeps = []
         monkeypatch.setattr(service_mod.time, "sleep", sleeps.append)
         submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.serve_forever(poll_interval=0.01, max_polls=3,
                                   jitter=0.0)
             assert service.completed == 1
@@ -190,7 +242,7 @@ class TestIdleBackoff:
 
         sleeps = []
         monkeypatch.setattr(service_mod.time, "sleep", sleeps.append)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.serve_forever(poll_interval=0.01, max_polls=6,
                                   max_backoff=0.04, jitter=0.0)
         assert sleeps == pytest.approx([0.01, 0.02, 0.04, 0.04, 0.04,
@@ -205,10 +257,10 @@ class TestFleetDedupe:
 
         index = FleetIndex(str(tmp_path / "fleet-index.sqlite"))
         a = ProfilingService(str(tmp_path / "a-spool"),
-                             str(tmp_path / "a-store.sqlite"), jobs=1,
+                             str(tmp_path / "a-store.sqlite"),
                              fleet_index=index, shard_id=0)
         b = ProfilingService(str(tmp_path / "b-spool"),
-                             str(tmp_path / "b-store.sqlite"), jobs=1,
+                             str(tmp_path / "b-store.sqlite"),
                              fleet_index=index, shard_id=1)
         try:
             submit(str(tmp_path / "a-spool"), seed=11)
@@ -218,7 +270,7 @@ class TestFleetDedupe:
             repeat = submit(str(tmp_path / "b-spool"), seed=11)
             b.drain()
             assert b.fleet_hits == 1
-            assert b.pool.stats["tasks"] == 0  # nothing simulated
+            assert b.executed == 0  # nothing simulated
             outcome = b.queue.outcome(repeat.job_id)
             assert outcome["result"]["fleet"] is True
             assert outcome["result"]["origin_shard"] == 0
@@ -228,7 +280,7 @@ class TestFleetDedupe:
             submit(str(tmp_path / "b-spool"), seed=12)
             b.drain()
             assert b.fleet_misses == 1
-            assert b.pool.stats["tasks"] == 1
+            assert b.executed == 1
         finally:
             a.close()
             b.close()
@@ -246,7 +298,7 @@ class TestWarmCompileCache:
         reset_warm_cache()
         first = submit(spool, seed=11)
         second = submit(spool, seed=22)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             assert service.warm_misses > 0
             assert service.warm_hits > 0
@@ -268,7 +320,7 @@ class TestWarmCompileCache:
 
         reset_warm_cache()
         submit(spool, seed=33)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             hits_before = service.warm_hits
             submit(spool, seed=33)  # exact key: served from store
@@ -276,9 +328,22 @@ class TestWarmCompileCache:
             assert service.warm_hits == hits_before
 
 
+class TestReadHeartbeat:
+    def test_last_complete_line_wins(self, tmp_path):
+        path = str(tmp_path / "status.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"ts": 1.0, "state": "idle"}) + "\n")
+            fh.write(json.dumps({"ts": 2.0, "state": "working"}) + "\n")
+            fh.write('{"ts": 3.0, "sta')  # a write in progress
+        assert read_heartbeat(path) == {"ts": 2.0, "state": "working"}
+
+    def test_missing_file_is_none(self, tmp_path):
+        assert read_heartbeat(str(tmp_path / "nope.jsonl")) is None
+
+
 class TestHeartbeatRotation:
     def test_size_capped_roll_to_dot_one(self, spool, store_path):
-        with ProfilingService(spool, store_path, jobs=1,
+        with ProfilingService(spool, store_path,
                               heartbeat_max_bytes=600) as service:
             for _ in range(12):
                 service._heartbeat("tick")
@@ -294,7 +359,7 @@ class TestHeartbeatRotation:
                         assert json.loads(line)["state"]
 
     def test_roll_keeps_one_generation(self, spool, store_path):
-        with ProfilingService(spool, store_path, jobs=1,
+        with ProfilingService(spool, store_path,
                               heartbeat_max_bytes=400) as service:
             for _ in range(40):
                 service._heartbeat("tick")
@@ -308,13 +373,13 @@ class TestRetentionSweep:
     def test_startup_sweep_removes_aged_outcomes(self, spool,
                                                  store_path):
         done = submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
+        with ProfilingService(spool, store_path) as service:
             service.drain()
             path = service.queue._path("done", done.job_id)
             data = service.queue._read(path)
             data["finished_at"] = data["finished_at"] - 7200.0
             service.queue._write(path, data)
-        with ProfilingService(spool, store_path, jobs=1,
+        with ProfilingService(spool, store_path,
                               retention=3600.0) as service:
             assert service.swept == 1
             assert service.queue.outcome(done.job_id) is None
@@ -323,7 +388,7 @@ class TestRetentionSweep:
                                              monkeypatch):
         monkeypatch.setattr("time.sleep", lambda *_: None)
         done = submit(spool)
-        with ProfilingService(spool, store_path, jobs=1,
+        with ProfilingService(spool, store_path,
                               retention=3600.0) as service:
             service.drain()
             path = service.queue._path("done", done.job_id)

@@ -193,6 +193,88 @@ class TestStaleKill:
             child.proc.wait()
 
 
+class TestTimeoutKill:
+    """A ``"working"`` heartbeat is judged by the job's own deadline."""
+
+    def sleeping_child(self, sup, tmp_path, *beats):
+        heartbeat = str(tmp_path / "status.jsonl")
+        with open(heartbeat, "w") as fh:
+            for beat in beats:
+                fh.write(json.dumps(beat) + "\n")
+        child = ChildProcess(
+            "shard", [sys.executable, "-c",
+                      "import time; time.sleep(600)"],
+            os.path.join(sup.log_dir, "shard.log"),
+            heartbeat_path=heartbeat)
+        sup.children["shard"] = child
+        sup._spawn(child)
+        return child
+
+    def stop(self, sup, child):
+        child.state = "giveup"  # never respawn
+        if child.proc is not None:
+            child.proc.kill()
+            child.proc.wait()
+            sup._reap(child)
+
+    def test_killed_just_past_deadline(self, tmp_path):
+        sup = FleetSupervisor(str(tmp_path), shards=0, stale_after=30.0)
+        child = self.sleeping_child(sup, tmp_path, {
+            "ts": 100.0, "state": "working", "job_id": "j-1",
+            "deadline": 102.0})
+        try:
+            assert sup.poll_once(now=102.0) == []
+            events = sup.poll_once(now=102.01)
+            assert [e["event"] for e in events] == ["timeout-killed"]
+            assert events[0]["job_id"] == "j-1"
+            assert child.state == "backoff"
+            assert not child.alive()
+        finally:
+            self.stop(sup, child)
+
+    def test_not_killed_before_deadline_past_stale_after(self, tmp_path):
+        sup = FleetSupervisor(str(tmp_path), shards=0, stale_after=30.0)
+        child = self.sleeping_child(sup, tmp_path, {
+            "ts": 100.0, "state": "working", "job_id": "j-1",
+            "deadline": 400.0})
+        try:
+            # 299 s into a 300 s job: ten times stale_after, still alive.
+            assert sup.poll_once(now=399.0) == []
+            assert child.alive()
+        finally:
+            self.stop(sup, child)
+
+    def test_idle_line_judged_by_stale_after(self, tmp_path):
+        sup = FleetSupervisor(str(tmp_path), shards=0, stale_after=30.0)
+        child = self.sleeping_child(
+            sup, tmp_path,
+            {"ts": 100.0, "state": "working", "job_id": "j-1",
+             "deadline": 110.0},
+            {"ts": 105.0, "state": "idle"})
+        try:
+            # Only the last line counts: the finished job's deadline
+            # has passed, but the idle line is fresh.
+            assert sup.poll_once(now=131.0) == []
+            events = sup.poll_once(now=136.0)
+            assert [e["event"] for e in events] == ["stale-killed"]
+            assert events[0]["age"] == pytest.approx(31.0)
+        finally:
+            self.stop(sup, child)
+
+    def test_previous_incarnations_line_is_not_judged(self, tmp_path):
+        """A restarted worker that has not heartbeat yet is not killed
+        for its predecessor's overdue job."""
+        sup = FleetSupervisor(str(tmp_path), shards=0, stale_after=30.0)
+        child = self.sleeping_child(sup, tmp_path, {
+            "ts": 100.0, "pid": -1, "state": "working", "job_id": "j-1",
+            "deadline": 102.0})
+        try:
+            assert sup.poll_once(now=1000.0) == []
+            assert child.alive()
+        finally:
+            self.stop(sup, child)
+
+
 def submit_jobs(host, port, payloads):
     async def go():
         out = []
