@@ -67,8 +67,8 @@ class IntervalSplayTree:
     # Core splay operation (top-down, Sleator & Tarjan)
     # ------------------------------------------------------------------
     def _splay(self, root: Optional[_Node], key: int) -> Optional[_Node]:
-        """Splay the node with the greatest start <= key (or the smallest
-        node if none) to the root.  Returns the new root."""
+        """Splay ``key`` to the root and return it: the node starting at
+        ``key`` if any, else ``key``'s floor or its successor."""
         if root is None:
             return None
         header = _Node(0, 0, None)
@@ -114,6 +114,20 @@ class IntervalSplayTree:
         t.right = header.left
         return t
 
+    def _floor(self, key: int) -> Optional[_Node]:
+        """Splay ``key``; return the node with the greatest start <= key.
+
+        The splay leaves the floor or the successor at the root; in the
+        second case the floor is the maximum of the root's left subtree.
+        """
+        root = self._root = self._splay(self._root, key)
+        if root is None or root.start <= key:
+            return root
+        node = root.left
+        while node is not None and node.right is not None:
+            node = node.right
+        return node
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -130,37 +144,20 @@ class IntervalSplayTree:
             stats.cache_hits += 1
             return hot.payload
         stats.cache_misses += 1
-        if self._root is None:
+        node = self._floor(address)
+        if node is None or address >= node.end:
             return None
-        self._root = self._splay(self._root, address)
-        node = self._root
-        if node.start > address:
-            # Root is the smallest node > address; predecessor is the
-            # maximum of the left subtree.
-            node = node.left
-            while node is not None and node.right is not None:
-                node = node.right
-        if node is not None and node.start <= address < node.end:
-            stats.hits += 1
-            # Bring the hit to the root (the self-adjusting payoff).
-            self._root = self._splay(self._root, node.start)
-            self._hot = self._root
-            return self._root.payload
-        return None
+        stats.hits += 1
+        # Bring the hit to the root (the self-adjusting payoff).
+        self._root = self._hot = self._splay(self._root, node.start)
+        return node.payload
 
     def interval_at(self, address: int) -> Optional[Tuple[int, int]]:
         """(start, end) of the interval containing ``address``, if any."""
-        if self._root is None:
+        node = self._floor(address)
+        if node is None or address >= node.end:
             return None
-        self._root = self._splay(self._root, address)
-        node = self._root
-        if node.start > address:
-            node = node.left
-            while node is not None and node.right is not None:
-                node = node.right
-        if node is not None and node.start <= address < node.end:
-            return (node.start, node.end)
-        return None
+        return (node.start, node.end)
 
     def __iter__(self) -> Iterator[Tuple[int, int, object]]:
         """In-order iteration of (start, end, payload)."""
@@ -175,14 +172,28 @@ class IntervalSplayTree:
             node = node.right
 
     def overlapping(self, start: int, end: int) -> List[Tuple[int, int, object]]:
-        """All intervals intersecting ``[start, end)``."""
+        """All intervals intersecting ``[start, end)``, ascending, in
+        amortised O(log n + k) for k results: ``start``'s floor if it
+        reaches past ``start`` (no earlier interval can), then the
+        successors that begin before ``end``."""
+        floor = self._floor(start)
         out = []
-        for s, e, payload in self:
-            if s >= end:
-                break
-            if e > start:
-                out.append((s, e, payload))
-        return out
+        if floor is not None and floor.end > start:
+            out.append((floor.start, floor.end, floor.payload))
+        stack: List[_Node] = []
+        node = self._root
+        while True:
+            while node is not None:  # down to the next node past start
+                if node.start > start:
+                    stack.append(node)
+                    node = node.left
+                else:
+                    node = node.right
+            if not stack or stack[-1].start >= end:
+                return out
+            node = stack.pop()
+            out.append((node.start, node.end, node.payload))
+            node = node.right
 
     # ------------------------------------------------------------------
     # Updates
@@ -192,62 +203,49 @@ class IntervalSplayTree:
         if end <= start:
             raise ValueError(f"empty interval [{start:#x}, {end:#x})")
         self._hot = None
-        for s, _e, _p in self.overlapping(start, end):
+        # overlapping() leaves start's floor or successor at the root,
+        # where the new node splits the tree; evictions reshape it.
+        evicted = self.overlapping(start, end)
+        for s, _e, _p in evicted:
             self._remove_exact(s)
-            self.stats.evictions += 1
-        node = _Node(start, end, payload)
-        if self._root is None:
-            self._root = node
-        else:
-            self._root = self._splay(self._root, start)
-            root = self._root
+        self.stats.evictions += len(evicted)
+        root = self._splay(self._root, start) if evicted else self._root
+        node = self._root = _Node(start, end, payload)
+        if root is not None:
             if start < root.start:
-                node.left = root.left
-                node.right = root
-                root.left = None
+                node.left, node.right, root.left = root.left, root, None
             else:
-                node.right = root.right
-                node.left = root
-                root.right = None
-            self._root = node
+                node.left, node.right, root.right = root, root.right, None
         self._size += 1
         self.stats.inserts += 1
 
     def remove_containing(self, address: int) -> Optional[object]:
         """Remove the interval containing ``address``; returns its payload."""
-        interval = self.interval_at(address)
-        if interval is None:
+        node = self._floor(address)
+        if node is None or address >= node.end:
             return None
-        payload = self._remove_exact(interval[0])
         self.stats.removes += 1
-        return payload
+        return self._remove_exact(node.start)
 
     def remove_start(self, start: int) -> Optional[object]:
         """Remove the interval starting exactly at ``start``."""
-        if self._root is None:
-            return None
         self._root = self._splay(self._root, start)
-        if self._root.start != start:
+        if self._root is None or self._root.start != start:
             return None
-        payload = self._remove_exact(start)
         self.stats.removes += 1
-        return payload
+        return self._remove_exact(start)
 
-    def _remove_exact(self, start: int) -> Optional[object]:
+    def _remove_exact(self, start: int) -> object:
+        """Remove the interval starting at ``start``, which must exist."""
         self._hot = None
-        self._root = self._splay(self._root, start)
-        root = self._root
-        if root is None or root.start != start:
-            return None
-        payload = root.payload
+        root = self._splay(self._root, start)
         if root.left is None:
             self._root = root.right
         else:
-            new_root = self._splay(root.left, start)
-            new_root.right = root.right
-            self._root = new_root
+            self._root = self._splay(root.left, start)
+            self._root.right = root.right
         self._size -= 1
-        return payload
+        return root.payload
 
     def clear(self) -> None:
         self._root = None

@@ -317,10 +317,13 @@ def optimize_workload(workload: Union[str, Workload],
         return verdict
 
     # Gate 2: engine differential — identical observables everywhere.
+    # Gate 0 already ran the engine ``mconfig`` selects; reuse that run.
+    gate0_engine = {"fastpath": mconfig.fastpath, "fused": mconfig.fused}
     reference: Optional[MachineResult] = None
     for engine_name, overrides in ENGINE_VARIANTS:
         try:
-            result = _run_engine(applied.program, mconfig, overrides)
+            result = (native_opt if overrides == gate0_engine
+                      else _run_engine(applied.program, mconfig, overrides))
         except Exception as exc:
             verdict.status = REJECTED
             verdict.rolled_back = True

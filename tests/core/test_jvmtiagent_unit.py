@@ -5,19 +5,24 @@ points :meth:`~repro.obs.collector.Collector.handle_batch` dispatches
 to), simulating GC activity by hand.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import DJXPerf, DjxConfig
 from repro.core.jvmtiagent import AgentCostModel
+from repro.core.splay import IntervalSplayTree
 from repro.heap.layout import Kind
 from repro.jvm import JProgram, Machine, MachineConfig, MethodBuilder
 from repro.obs.events import (
+    AllocEvent,
     GcFinalizeEvent,
     GcMoveEvent,
     GcNotifyEvent,
     SampleEvent,
 )
 
+from tests.core.test_splay import NaiveIntervalMap
 from tests.jvm.helpers import counting_loop
 
 
@@ -157,3 +162,82 @@ class TestCostCharging:
         alloc_charges = agent.charged_cycles - 5 * costs.alloc_hook_dispatch
         # Remaining charges are all sample handling, in sample_base units.
         assert agent.stats.samples_handled > 0 or alloc_charges == 0
+
+
+class TestGcSlideAtScale:
+    """One sliding collection over 1,000 tracked objects, checked
+    against a naive interval list.  ``__iter__`` raises throughout, so
+    no splay insert may fall back to walking every tracked object."""
+
+    N = 1000
+    BASE = 1 << 32          # above every address the machine allocated
+    STRIDE = 96
+
+    def test_slide_matches_naive_list(self, monkeypatch):
+        def no_full_walk(self):
+            raise AssertionError("full traversal during a GC batch")
+
+        profiler, machine = attached_agent()
+        machine.run()
+        agent = profiler.agent
+        thread = machine.threads[0]
+        before = dataclasses.replace(agent.stats)
+        evictions_before = agent.splay.stats.evictions
+        model = NaiveIntervalMap()
+        starts = [self.BASE + i * self.STRIDE for i in range(self.N)]
+        sizes = [32 + (i % 4) * 16 for i in range(self.N)]
+        live = [i for i in range(self.N) if i % 3]
+        # One dead object in five misses its finalize: its interval
+        # stays until a moved object lands over it.
+        finalized = [i for i in range(self.N) if i % 3 == 0 and i % 15]
+        untracked = 5
+        evictions = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(IntervalSplayTree, "__iter__", no_full_walk)
+            for i, (start, size) in enumerate(zip(starts, sizes)):
+                agent.on_alloc(AllocEvent(
+                    tid=thread.tid, addr=start, end=start + size, size=size,
+                    type_name=f"T{i}", path=(), thread=thread))
+                model.insert(start, start + size, f"T{i}")
+            for i in finalized:
+                agent.on_gc_finalize(GcFinalizeEvent(
+                    oid=i, addr=starts[i], size=sizes[i],
+                    type_name=f"T{i}"))
+                model.remove_start(starts[i])
+            moves = []
+            cursor = self.BASE
+            for i in live:
+                moves.append((starts[i], cursor, sizes[i]))
+                cursor += sizes[i]
+            # Moves of objects the agent never saw allocated land past
+            # the slid region.
+            for k in range(untracked):
+                moves.append((self.BASE // 2 + 0x100 * k,
+                              self.BASE + self.N * self.STRIDE + 64 * k, 64))
+            for oid, (src, dst, size) in enumerate(moves):
+                agent.on_gc_move(GcMoveEvent(oid=oid, src=src, dst=dst,
+                                             size=size))
+            agent.on_gc_notification(gc_notify(moved_objects=len(moves)))
+            for src, dst, size in sorted(moves, key=lambda m: m[1]):
+                payload = model.remove_start(src) or "<moved>"
+                evictions += len(model.insert(dst, dst + size, payload))
+
+        expected = dataclasses.replace(
+            before,
+            allocations_seen=before.allocations_seen + self.N,
+            relocations_applied=before.relocations_applied + len(live),
+            relocations_unknown=before.relocations_unknown + untracked,
+            finalized_removed=before.finalized_removed + len(finalized))
+        assert agent.stats == expected
+        assert evictions > 0
+        assert agent.splay.stats.evictions - evictions_before == evictions
+        agent.splay.check_invariants()
+        for src, dst, size in moves:
+            for address in (dst, dst + size - 1):
+                tracked = agent.splay.lookup(address)
+                assert tracked.type_name == model.lookup(address), hex(dst)
+        top = self.BASE + self.N * self.STRIDE + 64 * untracked
+        for address in range(self.BASE, top + 64, 8):
+            tracked = agent.splay.lookup(address)
+            assert (tracked.type_name if tracked else None) \
+                == model.lookup(address), hex(address)

@@ -1,5 +1,7 @@
 """Unit + property tests for the interval splay tree."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,26 @@ class TestOverlapEviction:
         assert len(tree) == 1
         assert tree.lookup(15) == "big"
 
+    def test_floor_found_when_splay_leaves_successor_at_root(self):
+        # Root 10 with right child 30: a top-down splay of 15 ends its
+        # search at 30, the successor, so the overlapping floor
+        # [10, 20) ends up in the new root's left subtree.
+        tree = IntervalSplayTree()
+        tree.insert(30, 40, "b")
+        tree.insert(10, 20, "a")
+        assert (tree._root.start, tree._root.right.start) == (10, 30)
+        assert tree.overlapping(15, 35) == [(10, 20, "a"), (30, 40, "b")]
+        assert tree.overlapping(15, 30) == [(10, 20, "a")]
+
+    def test_insert_evicts_floor_left_of_successor_root(self):
+        tree = IntervalSplayTree()
+        tree.insert(30, 40, "b")
+        tree.insert(10, 20, "a")
+        tree.insert(15, 25, "c")
+        assert list(tree) == [(15, 25, "c"), (30, 40, "b")]
+        assert tree.stats.evictions == 1
+        tree.check_invariants()
+
     def test_adjacent_intervals_do_not_evict(self):
         tree = IntervalSplayTree()
         tree.insert(100, 200, "a")
@@ -161,9 +183,15 @@ class NaiveIntervalMap:
         self.intervals = []  # (start, end, payload)
 
     def insert(self, start, end, payload):
-        self.intervals = [(s, e, p) for (s, e, p) in self.intervals
-                          if e <= start or s >= end]
+        """Insert ``[start, end)``; returns the intervals it evicted."""
+        evicted = self.overlapping(start, end)
+        self.intervals = [iv for iv in self.intervals if iv not in evicted]
         self.intervals.append((start, end, payload))
+        return evicted
+
+    def overlapping(self, start, end):
+        return sorted(iv for iv in self.intervals
+                      if iv[0] < end and iv[1] > start)
 
     def lookup(self, addr):
         for s, e, p in self.intervals:
@@ -185,6 +213,8 @@ operations = st.lists(
                   st.integers(1, 40)),
         st.tuples(st.just("lookup"), st.integers(0, 450)),
         st.tuples(st.just("remove"), st.integers(0, 400)),
+        st.tuples(st.just("overlap"), st.integers(0, 450),
+                  st.integers(1, 80)),
     ),
     min_size=1, max_size=120)
 
@@ -196,16 +226,23 @@ class TestPropertyVsModel:
         tree = IntervalSplayTree()
         model = NaiveIntervalMap()
         tag = 0
+        evictions = 0
         for op in ops:
             if op[0] == "insert":
                 _, start, length = op
                 tag += 1
                 tree.insert(start, start + length, tag)
-                model.insert(start, start + length, tag)
+                evictions += len(model.insert(start, start + length, tag))
             elif op[0] == "lookup":
                 assert tree.lookup(op[1]) == model.lookup(op[1])
+            elif op[0] == "overlap":
+                _, start, length = op
+                assert (tree.overlapping(start, start + length)
+                        == model.overlapping(start, start + length))
             else:
                 assert tree.remove_start(op[1]) == model.remove_start(op[1])
+            assert tree.stats.evictions == evictions
+            assert list(tree) == sorted(model.intervals)
         tree.check_invariants()
         assert len(tree) == len(model.intervals)
         # Full sweep equivalence at the end.
@@ -222,6 +259,64 @@ class TestPropertyVsModel:
         for s in starts:
             assert tree.lookup(s * 10 + 5) == s
         tree.check_invariants()
+
+
+class TestScaling:
+    """Insert and GC-slide cost must not grow with the tracked count.
+
+    ``__iter__`` raises throughout, so an insert that fell back to an
+    in-order walk of every tracked interval fails the test outright
+    instead of merely running quadratically slowly.
+    """
+
+    N = 20_000
+    STRIDE = 64
+
+    def test_ascending_inserts_and_gc_slide(self, monkeypatch):
+        def no_full_walk(self):
+            raise AssertionError("full traversal during insert")
+
+        tree = IntervalSplayTree()
+        sizes = [16 + (i % 5) * 8 for i in range(self.N)]
+        starts = [i * self.STRIDE for i in range(self.N)]
+        with monkeypatch.context() as patch:
+            patch.setattr(IntervalSplayTree, "__iter__", no_full_walk)
+            for i, (start, size) in enumerate(zip(starts, sizes)):
+                tree.insert(start, start + size, i)
+            # Every third object dies.  Most deaths are finalized; for
+            # one in five the finalize is missed, so its stale interval
+            # stays until a moved object lands over it.
+            live = [i for i in range(self.N) if i % 3]
+            stale = [i for i in range(self.N) if i % 15 == 0]
+            finalized = [i for i in range(self.N) if i % 3 == 0
+                         and i % 15]
+            for i in finalized:
+                assert tree.remove_start(starts[i]) == i
+            # Slide the live objects down in ascending destination
+            # order; the destinations reach over the dead objects' gaps.
+            cursor = 0
+            final = []
+            for i in live:
+                assert tree.remove_start(starts[i]) == i
+                tree.insert(cursor, cursor + sizes[i], i)
+                final.append((cursor, cursor + sizes[i], i))
+                cursor += sizes[i]
+        survivors = [(starts[i], starts[i] + sizes[i], i) for i in stale
+                     if starts[i] >= cursor]
+        final += survivors
+        tree.check_invariants()
+        assert len(tree) == len(final)
+        stats = tree.stats
+        assert stats.inserts == self.N + len(live)
+        assert stats.removes == len(finalized) + len(live)
+        assert stats.evictions == len(stale) - len(survivors) > 0
+        # Full lookup sweep against the expected final layout.
+        final_starts = [start for start, _, _ in final]
+        for address in range(0, self.N * self.STRIDE, 4):
+            k = bisect.bisect_right(final_starts, address) - 1
+            expected = (final[k][2] if k >= 0 and address < final[k][1]
+                        else None)
+            assert tree.lookup(address) == expected, hex(address)
 
 
 class TestHotCache:

@@ -1,7 +1,10 @@
 """End-to-end tests for the profile-guided optimization engine."""
 
+import dataclasses
+
 import pytest
 
+from repro.optim import engine
 from repro.optim.engine import (
     ACCEPTED,
     NO_CANDIDATE,
@@ -9,6 +12,7 @@ from repro.optim.engine import (
     OptimizationVerdict,
     optimize_workload,
 )
+from repro.workloads.base import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +79,47 @@ class TestRejectedRollback:
 
     def test_render_mentions_rollback(self, rejected_verdict):
         assert "rolled back" in rejected_verdict.render()
+
+
+class TestEngineGateRuns:
+    """Gate 2 reuses gate 0's run for the engine the config selects."""
+
+    def _engine_runs(self, monkeypatch, machine_config=None):
+        runs = []
+        run_engine = engine._run_engine
+
+        def counting(program, config, overrides):
+            runs.append(dict(overrides))
+            return run_engine(program, config, overrides)
+
+        monkeypatch.setattr(engine, "_run_engine", counting)
+        verdict = optimize_workload("unsized-growth",
+                                    machine_config=machine_config)
+        assert verdict.status == ACCEPTED
+        return runs, verdict.engines_checked
+
+    @pytest.mark.parametrize("fused, rerun", [
+        (True, [{"fastpath": False, "fused": False},
+                {"fastpath": True, "fused": False}]),
+        (False, [{"fastpath": False, "fused": False},
+                 {"fastpath": True, "fused": True}]),
+    ], ids=["fused-config", "compiled-config"])
+    def test_gate0_run_stands_in_for_its_engine(self, monkeypatch, fused,
+                                                rerun):
+        config = dataclasses.replace(
+            get_workload("unsized-growth").machine_config(), fused=fused)
+        runs, checked = self._engine_runs(monkeypatch, config)
+        assert runs == rerun
+        assert checked == ("legacy", "compiled", "fused")
+
+    def test_unmatched_config_runs_every_engine(self, monkeypatch):
+        # Without the fused variant, no engine matches the default
+        # (fused) config, so gate 2 runs each engine itself.
+        variants = engine.ENGINE_VARIANTS[:2]
+        monkeypatch.setattr(engine, "ENGINE_VARIANTS", variants)
+        runs, checked = self._engine_runs(monkeypatch)
+        assert runs == [overrides for _, overrides in variants]
+        assert checked == ("legacy", "compiled")
 
 
 class TestNoCandidate:
